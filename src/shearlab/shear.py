@@ -6,7 +6,8 @@ numerical probes of the operator's boundedness/decay/commutation
 properties.
 
 Everything decouples in the x-wavenumber k, so a marching state is an
-array over (field, k, y) and solves are batched tridiagonal systems.
+array over (field, k, y), and a solve stacks the per-mode tridiagonal
+systems into one LAPACK call.
 Couette (U(y) = y) is an exact degeneracy: the right-hand side vanishes
 identically and the solution operator is the identity.
 """
@@ -17,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as _fft
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgtsv
 
 from .core import Grid, SpectralField, ddy, l2_norm, sobolev_norm
+from .couette import simpson_weights
 from .diagnostics import (RateFit, bounded_trend_report, fit_power_law,
                           format_index)
 
@@ -111,79 +113,6 @@ def default_dt(profile: ShearProfile) -> float:
 # Per-mode elliptic solves
 # ---------------------------------------------------------------------------
 
-def _tridiag_batch_numpy(lower, diag, upper, rhs):
-    n = diag.shape[0]
-    cp = np.empty_like(diag)
-    dp = np.empty_like(rhs)
-    cp[0] = upper[0] / diag[0]
-    dp[0] = rhs[0] / diag[0]
-    for j in range(1, n):
-        denom = diag[j] - lower[j] * cp[j - 1]
-        cp[j] = upper[j] / denom
-        dp[j] = (rhs[j] - lower[j] * dp[j - 1]) / denom
-    x = np.empty_like(rhs)
-    x[-1] = dp[-1]
-    for j in range(n - 2, -1, -1):
-        x[j] = dp[j] - cp[j] * x[j + 1]
-    return x
-
-
-try:                                      # optional compiled kernel
-    from numba import njit
-
-    @njit(cache=True, fastmath=True)
-    def _tridiag_grouped_numba(lower, diag, upper, rhs, nk):  # pragma: no cover
-        n, m = rhs.shape
-        cp = np.empty((n, nk), dtype=diag.dtype)
-        dp = np.empty_like(rhs)
-        x = np.empty_like(rhs)
-        inv = np.empty(nk, dtype=diag.dtype)
-        for b in range(nk):
-            inv[b] = 1.0 / diag[0, b]
-            cp[0, b] = upper[0, b] * inv[b]
-        for i in range(m):
-            dp[0, i] = rhs[0, i] * inv[i % nk]
-        for j in range(1, n):
-            for b in range(nk):
-                inv[b] = 1.0 / (diag[j, b] - lower[j, b] * cp[j - 1, b])
-                cp[j, b] = upper[j, b] * inv[b]
-            for i in range(m):
-                b = i % nk
-                dp[j, i] = (rhs[j, i] - lower[j, b] * dp[j - 1, i]) * inv[b]
-        for i in range(m):
-            x[n - 1, i] = dp[n - 1, i]
-        for j in range(n - 2, -1, -1):
-            for i in range(m):
-                x[j, i] = dp[j, i] - cp[j, i % nk] * x[j + 1, i]
-        return x
-
-    _HAVE_NUMBA = True
-except ImportError:                       # pragma: no cover
-    _HAVE_NUMBA = False
-
-
-def _tridiag_batch(lower, diag, upper, rhs, nk: int | None = None):
-    """
-    Thomas algorithm for a batch of tridiagonal systems, shapes (n, B).
-    Bands may be shared by groups of right-hand sides (B = nf * nk with
-    band index i % nk).  The sheared-Helmholtz matrices are diagonally
-    dominant, so no pivoting is needed.  Uses the compiled kernel when
-    numba is installed.
-    """
-    if nk is None:
-        nk = rhs.shape[1]
-    if _HAVE_NUMBA:
-        return _tridiag_grouped_numba(
-            np.ascontiguousarray(lower), np.ascontiguousarray(diag),
-            np.ascontiguousarray(upper), np.ascontiguousarray(rhs), nk)
-    if lower.shape[1] != rhs.shape[1]:
-        reps = rhs.shape[1] // nk
-        lower = np.tile(lower, (1, reps))
-        diag = np.tile(diag, (1, reps))
-        upper = np.tile(upper, (1, reps))
-    return _tridiag_batch_numpy(lower, diag, upper, rhs)
-
-
 def _sheared_bands(grid: Grid, profile: ShearProfile, k: np.ndarray,
                    t: float):
     """Tridiagonal bands of -k^2 + (d/dy - i k t U'(y))^2, Dirichlet walls.
@@ -199,15 +128,54 @@ def _sheared_bands(grid: Grid, profile: ShearProfile, k: np.ndarray,
     return lower, diag, upper
 
 
+def _stacked_bands(grid: Grid, profile: ShearProfile, k: np.ndarray,
+                   t: float):
+    """
+    The nk per-mode systems of ``_sheared_bands`` placed one after another
+    on the diagonal of a single tridiagonal system of size nk*ny, as
+    LAPACK's (dl, d, du).  The couplings across block edges are zero, so
+    every elimination factor there vanishes and partial pivoting cannot
+    swap rows across an edge: each block is solved on its own.
+    """
+    lower, diag, upper = (b.T.copy() for b in
+                          _sheared_bands(grid, profile, k, t))
+    lower[:, 0] = 0.0
+    upper[:, -1] = 0.0
+    return lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1]
+
+
+def _solve_stacked(bands, rhs: np.ndarray, k: np.ndarray,
+                   t: float) -> np.ndarray:
+    """Solve the stacked system of ``_stacked_bands`` for the columns of
+    ``rhs`` (shape (nk*ny, nf)) with one LAPACK gtsv call."""
+    dl, d, du = bands
+    _, _, _, x, info = zgtsv(dl, d, du, rhs)
+    if info > 0:
+        mode = k[(info - 1) // (d.size // k.size)]
+        raise RuntimeError(f"singular sheared-Helmholtz system at "
+                           f"k={mode:g}, t={t:g}")
+    if info < 0:
+        raise RuntimeError(f"LAPACK gtsv rejected argument {-info} "
+                           f"at t={t:g}")
+    return x
+
+
+def _apply_bands(dl, d, du, x):
+    out = d * x
+    out[:-1] += du * x[1:]
+    out[1:] += dl * x[:-1]
+    return out
+
+
 def elliptic_solve_mode(w_k: np.ndarray, k: float, t: float,
                         profile: ShearProfile, grid: Grid,
                         residual_tol: float = 1e-10) -> np.ndarray:
     """
     Solve (-k^2 + (d/dy - i k t U'(y))^2) phi = w_k on the channel with
     homogeneous Dirichlet stream-function values, by second-order centered
-    finite differences.  The discrete residual is verified against
-    ``residual_tol``; singular systems are reported with a condition
-    estimate.
+    finite differences and the same tridiagonal solve that the marcher
+    uses.  The normwise backward error ||r|| / (||A|| ||phi|| + ||w||), in
+    the infinity norm, is verified against ``residual_tol``.
     """
     if k == 0.0:
         raise ValueError("per-mode elliptic solve requires k != 0")
@@ -215,31 +183,19 @@ def elliptic_solve_mode(w_k: np.ndarray, k: float, t: float,
         raise ValueError("per-mode elliptic solve lives on channel grids")
     w_k = np.asarray(w_k, dtype=np.complex128)
     karr = np.array([k], dtype=float)
-    lower, diag, upper = _sheared_bands(grid, profile, karr, t)
-    ab = np.zeros((3, grid.ny), dtype=np.complex128)
-    ab[0, 1:] = upper[:-1, 0]
-    ab[1, :] = diag[:, 0]
-    ab[2, :-1] = lower[1:, 0]
-    try:
-        phi = solve_banded((1, 1), ab, w_k)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"singular sheared-Helmholtz system at k={k}, "
-                           f"t={t}") from exc
-    resid = _apply_bands(lower[:, 0], diag[:, 0], upper[:, 0], phi) - w_k
-    scale = max(float(np.linalg.norm(w_k)), 1e-300)
-    rel = float(np.linalg.norm(resid)) / scale
-    if rel > residual_tol:
-        cond = np.abs(diag[:, 0]).max() / max(np.abs(diag[:, 0]).min(), 1e-300)
-        raise RuntimeError(f"elliptic solve residual {rel:.2e} above "
-                           f"tolerance (diag spread {cond:.2e})")
+    bands = _stacked_bands(grid, profile, karr, t)
+    phi = _solve_stacked(bands, w_k[:, None], karr, t)[:, 0]
+    dl, d, du = bands
+    a_norm = np.max(_apply_bands(np.abs(dl), np.abs(d), np.abs(du),
+                                 np.ones(d.size)))      # max row sum
+    scale = a_norm * np.max(np.abs(phi)) + np.max(np.abs(w_k))
+    resid = np.max(np.abs(_apply_bands(dl, d, du, phi) - w_k))
+    err = float(resid / max(scale, 1e-300))
+    if err > residual_tol:
+        raise RuntimeError(f"elliptic solve backward error {err:.2e} above "
+                           f"tolerance {residual_tol:.0e} at k={k:g}, "
+                           f"t={t:g}")
     return phi
-
-
-def _apply_bands(lower, diag, upper, x):
-    out = diag * x
-    out[:-1] += upper[:-1] * x[1:]
-    out[1:] += lower[1:] * x[:-1]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +219,15 @@ class ShearMarcher:
         self.k = np.asarray(k_values, dtype=float)
         if np.any(self.k == 0.0):
             raise ValueError("k = 0 modes do not evolve; exclude them")
+        self._coupling = 1j * self.k[:, None] * profile.Upp[None, :]
         self._band_cache: dict[float, tuple] = {}
 
     def _bands_at(self, t: float):
-        """Stage times repeat inside and across RK4 steps; keep a small
-        cache of assembled bands."""
+        """Stacked bands at time t.  The two half-step stages share theirs,
+        and t + dt is the next step's t; keep a small cache."""
         hit = self._band_cache.get(t)
         if hit is None:
-            hit = _sheared_bands(self.grid, self.profile, self.k, t)
+            hit = _stacked_bands(self.grid, self.profile, self.k, t)
             if len(self._band_cache) > 4:
                 self._band_cache.clear()
             self._band_cache[t] = hit
@@ -280,14 +237,10 @@ class ShearMarcher:
         if self.profile.is_couette:
             return np.zeros_like(states)
         nf, nk, ny = states.shape
-        lower, diag, upper = self._bands_at(t)
-        # Solve for all fields and modes at once: (ny, nf*nk) with bands
-        # shared across the field axis (index i % nk).
-        rhs_mat = np.moveaxis(states, 2, 0).reshape(ny, nf * nk)
-        phi = _tridiag_batch(lower, diag, upper, rhs_mat, nk=nk)
-        phi = np.moveaxis(phi.reshape(ny, nf, nk), 0, 2)
-        return (1j * self.k[None, :, None] * self.profile.Upp[None, None, :]
-                * phi)
+        # One stacked system for all modes, with the fields as columns.
+        phi = _solve_stacked(self._bands_at(t),
+                             states.reshape(nf, nk * ny).T, self.k, t)
+        return self._coupling * phi.T.reshape(nf, nk, ny)
 
     def step(self, t: float, states: np.ndarray, dt: float) -> np.ndarray:
         k1 = self.rhs(t, states)
@@ -319,12 +272,18 @@ class ShearMarcher:
         return out
 
 
-def _active_k_indices(fields: list[SpectralField], tol: float = 0.0) -> np.ndarray:
+# A row below this fraction of its field's largest row is FFT roundoff,
+# not signal, and is not marched.
+_LIVE_MODE_RTOL = 1e-13
+
+
+def _active_k_indices(fields: list[SpectralField]) -> np.ndarray:
+    """Nonzero x-modes that are live in at least one of ``fields``."""
     nx = fields[0].grid.nx
     mask = np.zeros(nx, dtype=bool)
     for f in fields:
         mag = np.max(np.abs(f.coeffs), axis=1)
-        mask |= mag > tol * max(1.0, float(np.max(mag)))
+        mask |= mag > _LIVE_MODE_RTOL * np.max(mag)
     mask[0] = False
     return np.nonzero(mask)[0]
 
@@ -451,10 +410,7 @@ def solve_forced_shear(w0: SpectralField, forcing_kind: str,
         n_steps += 1
     grid = w0.grid
     h = t / n_steps
-    weights = np.ones(n_steps + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= h / 3.0
+    weights = simpson_weights(n_steps, h)
 
     idx = _active_k_indices([w0, f0])
     if idx.size == 0:
@@ -662,10 +618,7 @@ def consistency_integral_shear(w0: SpectralField, f0: SpectralField,
     g_field = solve_g_shear(f0, profile)
     h = T / n_steps
     taus = h * np.arange(n_steps + 1)
-    weights = np.ones(n_steps + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= h / 3.0
+    weights = simpson_weights(n_steps, h)
 
     # Stationary-like part S(0,-tau) g at every node from one sweep; the
     # transport-like part marches forward inside the main loop.

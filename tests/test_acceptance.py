@@ -3,8 +3,8 @@ Acceptance suite: every exit criterion at its stated tolerance, one
 pass/fail line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
-complete; the heavy runs (consistency splitting, shear probes) take a few
-minutes each at the default 256x512 / 256x256 resolutions.
+complete; the heavy runs (consistency splitting, shear probes) take one
+to two minutes each at the default 256x512 / 256x256 resolutions.
 """
 
 import numpy as np

@@ -126,6 +126,18 @@ class TestDeterminism:
             assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_summary_checks_are_json_booleans(tmp_path):
+    cfg = write_config(tmp_path / "c.ini", "bprofile", tmp_path / "out",
+                       SMALL_BPROFILE)
+    assert main(["run", str(cfg)]) == 0
+    text = (tmp_path / "out" / "summary.json").read_text()
+    summary = json.loads(text)
+    assert summary["ok"] is True
+    assert summary["checks"]
+    assert all(v is True for v in summary["checks"].values())
+    assert '"ok": true' in text
+
+
 class TestSweep:
     def test_sweep_fans_out(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", "bprofile", tmp_path / "out",

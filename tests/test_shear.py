@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+from shearlab import presets
 from shearlab.consistency import consistency_integral
-from shearlab.core import (Grid, from_function, inverse_transform,
-                           invert_sheared_laplacian, l2_norm, zero_field)
-from shearlab.shear import (ShearMarcher, apply_S, backward_images,
-                            commutation_defect,
+from shearlab.core import (Grid, SpectralField, from_function,
+                           inverse_transform, invert_sheared_laplacian,
+                           l2_norm, zero_field)
+from shearlab.shear import (ShearMarcher, _active_k_indices,
+                            _sheared_bands, _solve_stacked, apply_S,
+                            backward_images, commutation_defect,
                             consistency_integral_shear, couette,
                             couette_perturbed, default_dt,
                             elliptic_solve_mode, probe_properties,
@@ -105,6 +109,100 @@ class TestEllipticSolve:
         order = np.log2(errs[256] / errs[512])
         assert order > 1.8
         assert abs(4 * errs[512] - errs[256]) / 3.0 < 1e-6
+
+    def test_no_spurious_residual_failure_at_fine_grid(self):
+        # A well-conditioned system whose plain residual ||r||/||w|| sat
+        # at 1.01e-10 and tripped a fixed 1e-10 check.
+        g = presets.channel_default(16, 2048)
+        prof = couette_perturbed(g, 0.05)
+        w0, _ = presets.couette_resonant_fields(g)
+        w_k = w0.coeffs[1, :]
+        phi = elliptic_solve_mode(w_k, g.k[1], 5.0, prof, g)
+        lower, diag, upper = (b[:, 0] for b in
+                              _sheared_bands(g, prof, g.k[1:2], 5.0))
+        ab = np.array([np.r_[0.0, upper[:-1]], diag, np.r_[lower[1:], 0.0]])
+        ref = solve_banded((1, 1), ab, w_k)
+        assert np.max(np.abs(phi - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def _dense_solve(lower, diag, upper, rhs):
+    mat = (np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1))
+    return np.linalg.solve(mat, rhs)
+
+
+def _thomas_solve(lower, diag, upper, rhs):
+    """Reference Thomas elimination, no pivoting."""
+    n = diag.size
+    cp = np.empty(n, dtype=complex)
+    dp = np.empty(n, dtype=complex)
+    cp[0] = upper[0] / diag[0]
+    dp[0] = rhs[0] / diag[0]
+    for j in range(1, n):
+        denom = diag[j] - lower[j] * cp[j - 1]
+        cp[j] = upper[j] / denom
+        dp[j] = (rhs[j] - lower[j] * dp[j - 1]) / denom
+    x = np.empty(n, dtype=complex)
+    x[-1] = dp[-1]
+    for j in range(n - 2, -1, -1):
+        x[j] = dp[j] - cp[j] * x[j + 1]
+    return x
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("t", [0.0, 5.0, 100.0])
+    @pytest.mark.parametrize("oracle, tol", [(_dense_solve, 1e-12),
+                                             (_thomas_solve, 1e-13)])
+    def test_rhs_matches_per_mode_oracle(self, t, oracle, tol):
+        g = Grid.channel(32, 64, a=1.0, b=2.0)
+        prof = couette_perturbed(g, 0.05)
+        k = np.array([1.0, 2.0, 3.0, 5.0, 8.0, -1.0, -8.0])
+        rng = np.random.default_rng(3)
+        states = (rng.normal(size=(3, k.size, g.ny))
+                  + 1j * rng.normal(size=(3, k.size, g.ny)))
+        got = ShearMarcher(g, prof, k).rhs(t, states)
+        lower, diag, upper = _sheared_bands(g, prof, k, t)
+        want = np.empty_like(states)
+        for f in range(states.shape[0]):
+            for m in range(k.size):
+                phi = oracle(lower[:, m], diag[:, m], upper[:, m],
+                             states[f, m])
+                want[f, m] = 1j * k[m] * prof.Upp * phi
+        assert np.max(np.abs(got - want)) < tol * np.max(np.abs(want))
+
+    def test_singular_block_names_its_mode(self):
+        # Two 2x2 blocks; the second has a zero last pivot.
+        d = np.array([1.0, 1.0, 1.0, 0.0], dtype=complex)
+        off = np.zeros(3, dtype=complex)
+        with pytest.raises(RuntimeError, match="k=7, t=2.5"):
+            _solve_stacked((off, d, off), np.ones((4, 1), dtype=complex),
+                           np.array([3.0, 7.0]), 2.5)
+
+
+class TestLiveModes:
+    @pytest.fixture
+    def resonant(self):
+        g = presets.channel_default(64, 64)
+        return presets.couette_resonant_fields(g)
+
+    def test_roundoff_rows_are_not_marched(self, resonant):
+        w0, f0 = resonant
+        assert list(_active_k_indices([w0, f0])) == [1, 63]
+
+    def test_small_signal_row_is_kept(self, resonant):
+        w0, _ = resonant
+        coeffs = w0.coeffs.copy()
+        coeffs[5, :] = 1e-10 * np.max(np.abs(coeffs))
+        u = SpectralField(w0.grid, coeffs)
+        assert list(_active_k_indices([u])) == [1, 5, 63]
+
+    def test_apply_s_passes_dropped_rows_through(self, resonant):
+        w0, _ = resonant
+        prof = couette_perturbed(w0.grid, 0.05)
+        out = apply_S(2.0, 0.0, w0, prof, dt=0.05)
+        dropped = np.setdiff1d(np.arange(w0.grid.nx), [1, 63])
+        assert np.any(w0.coeffs[dropped] != 0.0)
+        assert np.array_equal(out.coeffs[dropped], w0.coeffs[dropped])
+        assert not np.allclose(out.coeffs[1], w0.coeffs[1])
 
 
 class TestSolutionOperator:
