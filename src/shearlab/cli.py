@@ -84,10 +84,6 @@ def _sweep_configs(cfg: ScenarioConfig) -> list[ScenarioConfig]:
     return out
 
 
-def _run_one(cfg: ScenarioConfig) -> int:
-    return _execute(cfg)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="shearlab",
                                      description="spectral shear-flow "
@@ -135,7 +131,7 @@ def main(argv=None) -> int:
     if args.jobs > 1:
         import multiprocessing as mp
         with mp.Pool(args.jobs) as pool:
-            codes = pool.map(_run_one, runs)
+            codes = pool.map(_execute, runs)
     else:
         codes = [_execute(r) for r in runs]
     write_summary(Path(cfg.output) / "sweep.json",

@@ -27,34 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft as _fft
 
-from .core import (Grid, SpectralField, ddx, ddy, invert_laplacian, linf_norm,
+from .core import (Grid, SpectralField, compose_shear, ddx, ddy,
+                   invert_laplacian, invert_sheared_laplacian, linf_norm,
                    l2_norm, project_cone, sobolev_norm, x_antiderivative)
 from .core.field import inverse_transform
-from .core.operators import _dirichlet_helmholtz
+from .core.operators import _dirichlet_helmholtz, _shear_phase
 from .diagnostics import NormSeries, format_index
-
-try:                                       # optional fused product kernel
-    from numba import njit
-
-    @njit(cache=True, fastmath=True)
-    def _fused_products(p1x, p1y, w1x, w1y, comp, t, out):  # pragma: no cover
-        nx, ny = w1x.shape
-        for i in range(nx):
-            for j in range(ny):
-                a1x, a1y = p1x[i, j], p1y[i, j]
-                b1x, b1y = w1x[i, j], w1y[i, j]
-                c0, c1 = comp[0, i, j], comp[1, i, j]
-                c2, c3 = comp[2, i, j], comp[3, i, j]
-                sheared_b1y = b1y - t * b1x
-                out[0, i, j] = -a1y * b1x + a1x * sheared_b1y
-                out[1, i, j] = -a1y * c0 + a1x * c1
-                out[2, i, j] = -c3 * b1x + c2 * b1y - t * c2 * b1x
-                out[3, i, j] = (-(a1y + c3) * (b1x + c0)
-                                + (a1x + c2) * (sheared_b1y + c1))
-
-    _HAVE_FUSED = True
-except ImportError:                        # pragma: no cover
-    _HAVE_FUSED = False
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +100,6 @@ def _phys(u: SpectralField) -> np.ndarray:
     return inverse_transform(u)
 
 
-def _phys_shifted(u: SpectralField, t: float) -> np.ndarray:
-    """Physical samples of u(x + t y, y) (exact per-node phase shift)."""
-    g = u.grid
-    phase = np.exp(1j * t * np.outer(g.k, g.y))
-    if g.y_kind == "periodic":
-        hybrid = _fft.ifft(u.coeffs, axis=1) * g.ny
-        return _fft.ifft(hybrid * phase, axis=0) * g.nx
-    return _fft.ifft(u.coeffs * phase * g.nx, axis=0)
-
-
 class _SpectralAccumulator:
     """Forward-transform physical integrands, dealias, drop k=0, accumulate."""
 
@@ -147,9 +115,9 @@ class _SpectralAccumulator:
             norm = g.nx * g.ny if g.y_kind == "periodic" else g.nx
             self._scaled_mask = self.mask.astype(float) / norm
         if g.y_kind == "periodic":
-            c = _fft.fft2(phys, axes=(-2, -1), workers=2)
+            c = _fft.fft2(phys, axes=(-2, -1))
         else:
-            c = _fft.fft(phys, axis=-2, workers=2)
+            c = _fft.fft(phys, axis=-2)
         c *= self._scaled_mask
         return c
 
@@ -203,8 +171,8 @@ class _ConsistencyKernel:
     def _composed_physical(self, t: float) -> np.ndarray:
         """Physical samples of the hybrid stack composed with x + t y."""
         g = self.grid
-        phase = np.exp(1j * t * np.outer(g.k, g.y))[None]
-        out = _fft.ifft(self._hybrid * phase, axis=1, workers=2)
+        phase = _shear_phase(g.k, g.y, -t)[None]
+        out = _fft.ifft(self._hybrid * phase, axis=1)
         if g.y_kind == "periodic":
             out *= g.nx
         return out
@@ -216,15 +184,12 @@ class _ConsistencyKernel:
         g = self.grid
         if g.y_kind == "periodic":
             k = g.kmesh()
-            denom = k ** 2 + (g.etamesh() - k * t) ** 2
-            denom = np.where(denom == 0.0, 1.0, denom)
-            phi1 = -self.w1.coeffs / denom
-            phi1[0, :] = 0.0
+            phi1 = invert_sheared_laplacian(self.w1, t, k0="zero").coeffs
             grads = _fft.ifft2(np.stack([1j * k * phi1,
                                          1j * (g.etamesh() - k * t) * phi1]),
-                               axes=(-2, -1), workers=2) * (g.nx * g.ny)
+                               axes=(-2, -1)) * (g.nx * g.ny)
             return grads[0], grads[1]
-        phase = np.exp(1j * t * np.outer(g.k, g.y))
+        phase = _shear_phase(g.k, g.y, -t)
         inner = _dirichlet_helmholtz(g, self.w1.coeffs * np.conj(phase),
                                      g.k ** 2)
         psi = SpectralField(g, inner)
@@ -246,25 +211,7 @@ class _ConsistencyKernel:
         if not self._w1_is_zero:
             p1x, p1y_sh = self._stream1_gradients(t)
         if not self._w2_is_zero:
-            composed = self._composed_physical(t)
-            w2x_s, w2y_s, p2x_s, p2y_s, q2_s = composed
-
-        if both and _HAVE_FUSED:
-            planes = np.empty((5, self.grid.nx, self.grid.ny),
-                              dtype=np.complex128)
-            # fused slots: [I, III, IV, total]; II is the composed q2
-            _fused_products(np.ascontiguousarray(p1x),
-                            np.ascontiguousarray(p1y_sh),
-                            self.w1x, self.w1y,
-                            np.ascontiguousarray(composed[:4]), t,
-                            planes[:4])
-            planes[4] = q2_s
-            coeffs = self.acc.to_coeffs(planes)
-            out["I"], out["III"], out["IV"] = coeffs[0], coeffs[1], coeffs[2]
-            out["II"] = coeffs[4]
-            if with_total:
-                out["total"] = coeffs[3]
-            return out
+            w2x_s, w2y_s, p2x_s, p2y_s, q2_s = self._composed_physical(t)
 
         products = []
         labels = []
@@ -306,16 +253,6 @@ class _ConsistencyKernel:
         g = self.grid
         if self._w1_is_zero and self._w2_is_zero:
             return np.zeros((g.nx, g.ny), dtype=np.complex128)
-        both = not (self._w1_is_zero or self._w2_is_zero)
-        if both and _HAVE_FUSED:
-            p1x, p1y_sh = self._stream1_gradients(t)
-            composed = self._composed_physical(t)
-            planes = np.empty((4, g.nx, g.ny), dtype=np.complex128)
-            _fused_products(np.ascontiguousarray(p1x),
-                            np.ascontiguousarray(p1y_sh),
-                            self.w1x, self.w1y,
-                            np.ascontiguousarray(composed[:4]), t, planes)
-            return self.acc.to_coeffs(planes[3])
         wx, wy_sh = self.w1x, self.w1y - t * self.w1x
         phix = phiy_sh = 0.0
         if not self._w1_is_zero:
@@ -537,13 +474,6 @@ def _over_y(u: SpectralField, power: int = 1) -> SpectralField:
     return SpectralField(g, coeffs, u.frame, u.frame_time)
 
 
-def _shift_field(u: SpectralField, t: float) -> SpectralField:
-    """u(x + t y, y) as a field (dealiased forward transform of the shift)."""
-    acc = _SpectralAccumulator(u.grid)
-    return SpectralField(u.grid, acc.to_coeffs(_phys_shifted(u, t)),
-                         u.frame, u.frame_time)
-
-
 def term_II_closed_form(w2: SpectralField, T: float) -> SpectralField:
     """
     Endpoint-difference antiderivative of term II:
@@ -554,7 +484,8 @@ def term_II_closed_form(w2: SpectralField, T: float) -> SpectralField:
     """
     kernel = _ConsistencyKernel(w2.zeros_like(), w2)
     F = _over_y(x_antiderivative(kernel.q2))
-    diff = _shift_field(F, T).coeffs - kernel.acc.to_coeffs(_phys(F))
+    diff = (kernel.acc.to_coeffs(_phys(compose_shear(F, -T)))
+            - kernel.acc.to_coeffs(_phys(F)))
     return SpectralField(F.grid, diff, "lagrangian", T)
 
 
@@ -596,15 +527,15 @@ def term_IV_closed_form(w1: SpectralField, w2: SpectralField,
     # with grad_perp phi2 = (-d_y phi2, d_x phi2) handled componentwise.
     Gm = _over_y(x_antiderivative(kernel.phi2y))            # pairs with d_x w1
     Gp = _over_y(x_antiderivative(kernel.phi2x))            # pairs with d_y w1
-    a_T = (-(_phys_shifted(Gm, T) - _phys(Gm)) * kernel.w1x
-           + (_phys_shifted(Gp, T) - _phys(Gp)) * kernel.w1y)
+    a_T = (-(_phys(compose_shear(Gm, -T)) - _phys(Gm)) * kernel.w1x
+           + (_phys(compose_shear(Gp, -T)) - _phys(Gp)) * kernel.w1y)
 
     # IV_b via parts: t phi2_x(x+ty) dx w1 integrates to
     #   (T/y) phi2(x+Ty) dx w1 - (1/y^2)[dx^{-1}phi2](x+ty)|_0^T dx w1.
     phi2_over_y = _over_y(kernel.phi2)
-    growing = -(T * _phys_shifted(phi2_over_y, T)) * kernel.w1x
+    growing = -(T * _phys(compose_shear(phi2_over_y, -T))) * kernel.w1x
     P = _over_y(x_antiderivative(kernel.phi2), power=2)
-    correction = (_phys_shifted(P, T) - _phys(P)) * kernel.w1x
+    correction = (_phys(compose_shear(P, -T)) - _phys(P)) * kernel.w1x
 
     leading = SpectralField(grid, acc.to_coeffs(growing), "lagrangian", T)
     bounded = SpectralField(grid, acc.to_coeffs(a_T + correction),

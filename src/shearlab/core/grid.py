@@ -163,18 +163,6 @@ class Grid:
             return False
         return self.a > 0.0 or self.b < 0.0
 
-    def commensurate_times(self, n: int, t_max: float) -> np.ndarray:
-        """
-        Times at which periodic-grid shear shifts land exactly on the eta
-        lattice: multiples of lx/ly.  On channel grids shifts are exact for
-        every t, so a uniform grid is returned.
-        """
-        if self.y_kind == "channel":
-            return np.linspace(0.0, t_max, n)
-        step = self.lx / self.ly
-        stride = max(1, int(round(t_max / step / max(n - 1, 1))))
-        return step * stride * np.arange(n)
-
     def describe(self) -> dict:
         """JSON-ready description (used by sidecars and reports)."""
         d = {"nx": self.nx, "ny": self.ny, "lx": self.lx,

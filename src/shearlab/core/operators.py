@@ -96,7 +96,7 @@ def invert_sheared_laplacian(w: SpectralField, t: float,
         phi = -w.coeffs / denom
         phi[0, :] = 0.0
         return SpectralField(g, phi, w.frame, w.frame_time)
-    phase = np.exp(-1j * np.outer(g.k * t, g.y))
+    phase = _shear_phase(g.k, g.y, t)
     inner = _dirichlet_helmholtz(g, w.coeffs * phase, g.k ** 2)
     phi = inner * np.conj(phase)
     phi[0, :] = 0.0
@@ -208,8 +208,8 @@ def multiply(a: SpectralField, b: SpectralField,
     a._check_compatible(b)
     pa = inverse_transform(a)
     pb = inverse_transform(b)
-    prod = transform(a.grid, (pa * pb).real) if _both_real(a, b) \
-        else _transform_complex(a.grid, pa * pb)
+    samples = pa * pb
+    prod = transform(a.grid, samples.real if _both_real(a, b) else samples)
     prod.frame, prod.frame_time = a.frame, a.frame_time
     out = dealias(prod)
     if drop_x_mean:
@@ -223,33 +223,38 @@ def _both_real(a: SpectralField, b: SpectralField) -> bool:
     return (reality_defect(a) + reality_defect(b)) < 1e-10 * scale
 
 
-def _transform_complex(grid: Grid, samples: np.ndarray) -> SpectralField:
-    if grid.y_kind == "periodic":
-        coeffs = _fft.fft2(samples) / (grid.nx * grid.ny)
-    else:
-        coeffs = _fft.fft(samples, axis=0) / grid.nx
-    return SpectralField(grid, coeffs)
-
-
 # ---------------------------------------------------------------------------
 # Shear composition and frame changes
 # ---------------------------------------------------------------------------
 
-def compose_shear(u: SpectralField, t: float) -> SpectralField:
+def _shear_phase(k: np.ndarray, U: np.ndarray, t: float) -> np.ndarray:
     """
-    Composition with the shear map: returns the field u(x - t*y, y).
+    The (k, y) table exp(-i t k U(y)) that composes with the shear map.
 
-    Channel grids multiply each stored column by exp(-i k t y_j), which is
-    exact for every t.  Periodic grids apply the same factor in hybrid
-    (k, y) space; for commensurate t (t * ly / lx integer) this coincides
-    with the exact lattice shift of eta-indices.
+    Callers bind it to a name before multiplying: numpy reuses a large
+    temporary right operand in place, which swaps the operands of the
+    complex product and with them its rounding.
+    """
+    return np.exp(-1j * t * np.multiply.outer(k, U))
+
+
+def compose_shear(u: SpectralField, t: float,
+                  U: np.ndarray | None = None) -> SpectralField:
+    """
+    Composition with the shear map: returns the field u(x - t*U(y), y),
+    with U sampled on the grid's y-nodes (default U(y) = y, Couette).
+
+    Channel grids multiply each stored column by exp(-i k t U(y_j)), which
+    is exact for every t.  Periodic grids apply the same factor in hybrid
+    (k, y) space; for Couette and commensurate t (t * ly / lx integer) this
+    coincides with the exact lattice shift of eta-indices.
     """
     g = u.grid
+    phase = _shear_phase(g.k, g.y if U is None else U, t)
     if g.y_kind == "channel":
-        phase = np.exp(-1j * t * np.outer(g.k, g.y))
         return SpectralField(g, u.coeffs * phase, u.frame, u.frame_time)
     hybrid = _fft.ifft(u.coeffs, axis=1) * g.ny
-    hybrid *= np.exp(-1j * t * np.outer(g.k, g.y))
+    hybrid *= phase
     return SpectralField(g, _fft.fft(hybrid, axis=1) / g.ny,
                          u.frame, u.frame_time)
 

@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Grid, SpectralField, compose_shear, x_antiderivative
+from .core.operators import _shear_phase
 
 ForcingClosure = Callable[[float], SpectralField]
 
@@ -216,6 +217,6 @@ def assemble_time_periodic(w0: SpectralField, comps: list[PeriodicComponent],
     y = grid.y
     for comp in comps:
         stat = np.exp(1j * comp.nu * t) * comp.g_hat
-        moved = comp.g_hat * np.exp(-1j * comp.k * t * y)
+        moved = comp.g_hat * _shear_phase(comp.k, y, t)
         coeffs[comp.k_index, :] += stat - moved
     return SpectralField(grid, coeffs, w0.frame, w0.frame_time)

@@ -20,8 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.fft as _fft
 
-from .core import (Grid, SpectralField, ddx, ddy, dealias, invert_laplacian,
-                   h1_norm, l2_norm, multiply, project_nonzero_x, velocity)
+from .core import (Grid, SpectralField, compose_shear, ddx, ddy, dealias,
+                   invert_laplacian, h1_norm, l2_norm, multiply,
+                   project_nonzero_x, velocity)
 from .viscous import heat_exponent
 
 
@@ -64,7 +65,6 @@ class NSState:
 
     def eulerian_field(self) -> SpectralField:
         """Physical-frame field (exact phase recomposition)."""
-        from .core import compose_shear
         lag = SpectralField(self.grid, self.coeffs.copy())
         return compose_shear(lag, self.t_rel)
 
@@ -78,12 +78,6 @@ def make_state(w0: SpectralField, nu: float,
 # ---------------------------------------------------------------------------
 # Right-hand side
 # ---------------------------------------------------------------------------
-
-def _forcing_lattice(forcing: SpectralField, t_rel: float) -> np.ndarray:
-    """Stationary Eulerian forcing pulled to the sheared lattice."""
-    from .core import compose_shear
-    return compose_shear(forcing, -t_rel).coeffs
-
 
 def advection(state: NSState, coeffs: np.ndarray, t: float,
               return_velocity_sup: bool = False):
@@ -117,45 +111,6 @@ def advection(state: NSState, coeffs: np.ndarray, t: float,
     return nl
 
 
-def rhs(state: NSState, coeffs: np.ndarray | None = None,
-        t: float | None = None) -> np.ndarray:
-    """
-    Full semi-discrete right-hand side in the sheared frame: exact
-    dissipation multiplier, minus the projected nonlinearity, plus the
-    frame-pulled forcing.
-    """
-    if coeffs is None:
-        coeffs = state.coeffs
-    if t is None:
-        t = state.t
-    eta = state.eta_eff(t)
-    k = state.grid.kmesh()
-    out = -state.nu * (k ** 2 + eta ** 2) * coeffs
-    out -= advection(state, coeffs, t)
-    if state.forcing is not None:
-        f_lat = _forcing_lattice(state.forcing, t - state.frame_origin)
-        f_lat[0, :] = 0.0
-        out += f_lat
-    return out
-
-
-def rhs_linear(state: NSState, coeffs: np.ndarray | None = None,
-               t: float | None = None) -> np.ndarray:
-    """Linearized right-hand side (dissipation + forcing, no advection)."""
-    if coeffs is None:
-        coeffs = state.coeffs
-    if t is None:
-        t = state.t
-    eta = state.eta_eff(t)
-    k = state.grid.kmesh()
-    out = -state.nu * (k ** 2 + eta ** 2) * coeffs
-    if state.forcing is not None:
-        f_lat = _forcing_lattice(state.forcing, t - state.frame_origin)
-        f_lat[0, :] = 0.0
-        out += f_lat
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Integrating-factor RK4 with re-centering
 # ---------------------------------------------------------------------------
@@ -178,7 +133,8 @@ def _nonstiff(state: NSState, coeffs: np.ndarray, t: float,
         vsup = 0.0
     out = -nl
     if state.forcing is not None:
-        f_lat = _forcing_lattice(state.forcing, t - state.frame_origin)
+        # stationary Eulerian forcing pulled to the sheared lattice
+        f_lat = compose_shear(state.forcing, -(t - state.frame_origin)).coeffs
         f_lat[0, :] = 0.0
         out += f_lat
     return (out, vsup) if with_sup else out
@@ -461,11 +417,6 @@ def fixed_point_stationary(cfg: FixedPointConfig, grid: Grid | None = None,
 # Experiments
 # ---------------------------------------------------------------------------
 
-def sampled_stationary_lattice(g_field: SpectralField, state: NSState) -> np.ndarray:
-    """The fixed Eulerian field g on the state's current sheared lattice."""
-    return _forcing_lattice(g_field, state.t_rel)
-
-
 def perturbation_decay(w0: SpectralField, g_field: SpectralField,
                        cfg: FixedPointConfig, t_end: float, dt: float,
                        n_samples: int = 21) -> dict:
@@ -480,8 +431,7 @@ def perturbation_decay(w0: SpectralField, g_field: SpectralField,
     final, snaps = evolve(state, t_end, dt, sample_times=times)
     norms = []
     for s in snaps:
-        g_lat = sampled_stationary_lattice(g_field, s)
-        diff = s.coeffs - g_lat
+        diff = s.coeffs - compose_shear(g_field, -s.t_rel).coeffs
         diff[0, :] = 0.0
         norms.append(float(np.sqrt(np.sum(np.abs(diff) ** 2))))
     norms = np.asarray(norms)

@@ -17,13 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
 from scipy.linalg.lapack import zgtsv
 
-from .core import Grid, SpectralField, ddy, l2_norm, sobolev_norm
+from .core import (Grid, SpectralField, compose_shear, ddy, l2_norm,
+                   sobolev_norm)
+from .core.operators import _shear_phase
 from .couette import simpson_weights
 from .diagnostics import (RateFit, bounded_trend_report, fit_power_law,
-                          format_index)
+                          format_index, record_norms)
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +307,6 @@ def apply_S(t2: float, t1: float, u: SpectralField, profile: ShearProfile,
     return SpectralField(grid, out, u.frame, u.frame_time)
 
 
-def compose_profile_shift(u: SpectralField, tau: float,
-                          profile: ShearProfile) -> SpectralField:
-    """u(x + tau * U(y), y): exact per-node phase composition."""
-    g = u.grid
-    phase = np.exp(1j * tau * np.outer(g.k, profile.U))
-    if g.y_kind == "channel":
-        return SpectralField(g, u.coeffs * phase, u.frame, u.frame_time)
-    hybrid = _fft.ifft(u.coeffs, axis=1) * g.ny
-    return SpectralField(g, _fft.fft(hybrid * phase, axis=1) / g.ny,
-                         u.frame, u.frame_time)
-
-
 # ---------------------------------------------------------------------------
 # Forced solutions
 # ---------------------------------------------------------------------------
@@ -351,7 +340,7 @@ def lagrangian_forcing(forcing_kind: str, f0: SpectralField, tau: float,
         return apply_S(tau, 0.0, f0, profile, dt)
     if forcing_kind == "stationary":
         moved = apply_S(0.0, -tau, f0, profile, dt)
-        return compose_profile_shift(moved, tau, profile)
+        return compose_shear(moved, -tau, profile.U)
     raise ValueError(f"unknown shear forcing kind {forcing_kind!r}")
 
 
@@ -434,8 +423,7 @@ def solve_forced_shear(w0: SpectralField, forcing_kind: str,
     def node_forcing(j: int) -> np.ndarray:
         if resonant:
             return state[2]
-        tau = j * h
-        phase = np.exp(1j * tau * np.outer(grid.k[idx], profile.U))
+        phase = _shear_phase(grid.k[idx], profile.U, -j * h)
         return images[j] * phase
 
     state[1] += weights[0] * node_forcing(0)
@@ -461,7 +449,7 @@ def stationary_decomposition(w0: SpectralField, f0: SpectralField,
     """
     g_field = solve_g_shear(f0, profile)
     transport_like = apply_S(t, 0.0, w0 - g_field, profile, dt)
-    sheared_g = compose_profile_shift(g_field, t, profile)
+    sheared_g = compose_shear(g_field, -t, profile.U)
     stationary_like = apply_S(t, 0.0, sheared_g, profile, dt)
     return {"g": g_field, "transport_like": transport_like,
             "stationary_like": stationary_like,
@@ -584,9 +572,9 @@ def commutation_defect(grid: Grid, profile: ShearProfile, u: SpectralField,
 
     Exact (zero) for Couette, where S is the identity.
     """
-    lhs = apply_S(t2, t1, compose_profile_shift(u, tau, profile), profile, dt)
-    rhs = compose_profile_shift(apply_S(t2 - tau, t1 - tau, u, profile, dt),
-                                tau, profile)
+    lhs = apply_S(t2, t1, compose_shear(u, -tau, profile.U), profile, dt)
+    rhs = compose_shear(apply_S(t2 - tau, t1 - tau, u, profile, dt),
+                        -tau, profile.U)
     return l2_norm(lhs - rhs)
 
 
@@ -630,16 +618,16 @@ def consistency_integral_shear(w0: SpectralField, f0: SpectralField,
 
     def node_term(j: int, moved_rows: np.ndarray) -> SpectralField:
         tau = taus[j]
-        transport_part = compose_profile_shift(
+        transport_part = compose_shear(
             SpectralField(grid, _embed(grid, moved_rows, idx_lin)),
-            -tau, profile)
+            tau, profile.U)
         stat_part = SpectralField(grid, _embed(grid, g_images[j], idx_lin))
         om = transport_part + stat_part
         phi = invert_laplacian(om)
         vx, vy = (ddy(phi, dirichlet=True) * (-1.0), ddx(phi))
         nl = multiply(vx, ddx(om)) + multiply(vy, ddy(om))
         nl = project_nonzero_x(nl)
-        return compose_profile_shift(nl, tau, profile)
+        return compose_shear(nl, -tau, profile.U)
 
     samples, sample_ts = [], []
     q0 = node_term(0, moving[0])
@@ -657,9 +645,6 @@ def consistency_integral_shear(w0: SpectralField, f0: SpectralField,
                                           "lagrangian", taus[j]))
             sample_ts.append(taus[j])
 
-    from .diagnostics import NormSeries
-    values = {format_index(s): np.array([sobolev_norm(f, s) for f in samples])
-              for s in s_list}
-    series = NormSeries(np.asarray(sample_ts), values, frame="lagrangian")
+    series = record_norms(sample_ts, samples, s_list, frame="lagrangian")
     return {"sigma": samples[-1], "series": series, "samples": samples,
             "g": g_field}

@@ -25,6 +25,7 @@ import scipy.fft as _fft
 from scipy.integrate import quad
 
 from .core import Grid, SpectralField
+from .core.operators import _shear_phase
 from .couette import simpson_weights
 
 
@@ -180,7 +181,7 @@ def stationary_lattice_forcing(f0: SpectralField) -> LatticeForcing:
     hybrid = _fft.ifft(f0.coeffs, axis=1) * g.ny
 
     def closure(tau: float) -> np.ndarray:
-        phase = np.exp(1j * tau * np.outer(g.k, g.y))
+        phase = _shear_phase(g.k, g.y, -tau)
         return _fft.fft(hybrid * phase, axis=1) / g.ny
 
     return closure
@@ -228,7 +229,7 @@ def stationary_state_lattice(f0: SpectralField, nu: float, t: float,
         eta_max = float(np.max(np.abs(g.eta)))
         kmin = 2.0 * np.pi / g.lx
         horizon = 2.0 * eta_max / kmin + 5.0 / max(nu, 1e-3)
-    hybrid = _fft.ifft(f0.coeffs, axis=1) * g.ny
+    forcing = stationary_lattice_forcing(f0)
     k, eta = g.kmesh(), g.etamesh()
     n = max(64, int(np.ceil(horizon * n_steps_per_unit / 2)) * 2)
     h = horizon / n
@@ -236,9 +237,8 @@ def stationary_state_lattice(f0: SpectralField, nu: float, t: float,
     acc = np.zeros((g.nx, g.ny), dtype=np.complex128)
     for j, wj in enumerate(w):
         s = j * h
-        phase = np.exp(1j * (t - s) * np.outer(g.k, g.y))
-        f_shift = _fft.fft(hybrid * phase, axis=1) / g.ny
-        acc += wj * np.exp(-heat_exponent(k, eta, nu, t - s, t)) * f_shift
+        acc += wj * np.exp(-heat_exponent(k, eta, nu, t - s, t)) \
+            * forcing(t - s)
     acc[0, :] = 0.0
     return acc
 

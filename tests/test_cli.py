@@ -143,10 +143,16 @@ class TestSweep:
         cfg = write_config(tmp_path / "c.ini", "bprofile", tmp_path / "out",
                            {"n_eta": 4, "eta_max": 6},
                            sweep={"k_max": [2, 3]})
-        assert main(["run", str(cfg)]) == 0
-        assert (tmp_path / "out" / "k_max-2" / "summary.json").exists()
-        assert (tmp_path / "out" / "k_max-3" / "summary.json").exists()
-        assert (tmp_path / "out" / "sweep.json").exists()
+        exits = {}
+        for jobs in (1, 2):                 # serial loop and process pool
+            out = tmp_path / f"out-{jobs}"
+            assert main(["run", str(cfg), "--output", str(out),
+                         "--jobs", str(jobs)]) == 0
+            assert (out / "k_max-2" / "summary.json").exists()
+            assert (out / "k_max-3" / "summary.json").exists()
+            sweep = json.loads((out / "sweep.json").read_text())
+            exits[jobs] = [run["exit"] for run in sweep["runs"]]
+        assert exits[1] == exits[2] == [0, 0]
 
 
 def test_console_entry_point():

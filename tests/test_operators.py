@@ -142,6 +142,41 @@ class TestShiftFrame:
             < 1e-12
 
 
+def _perturbed_couette(y):
+    return y + 0.05 * np.sin(y)
+
+
+@pytest.mark.parametrize("grid_name", ["channel", "wide_box"])
+class TestComposeShearProfile:
+    """compose_shear(u, t, U) = u(x - t U(y), y) for a sampled profile U."""
+
+    @pytest.mark.parametrize("profile", [None, _perturbed_couette])
+    def test_matches_direct_sampling(self, request, grid_name, profile):
+        grid = request.getfixturevalue(grid_name)
+        prof = profile or (lambda y: y)
+        U = profile(grid.y) if profile else None
+        u = from_function(grid, lambda X, Y: np.cos(X) * np.exp(-Y ** 2 / 3))
+        for t in (0.6180339887, 3.0):
+            direct = from_function(grid, lambda X, Y: np.cos(X - t * prof(Y))
+                                   * np.exp(-Y ** 2 / 3))
+            got = compose_shear(u, t, U)
+            assert np.max(np.abs(got.coeffs - direct.coeffs)) < 1e-13
+
+    def test_couette_default_is_grid_y(self, request, grid_name, rng):
+        grid = request.getfixturevalue(grid_name)
+        u = transform(grid, rng.normal(size=(grid.nx, grid.ny)))
+        assert np.array_equal(compose_shear(u, 1.7, grid.y).coeffs,
+                              compose_shear(u, 1.7).coeffs)
+
+    def test_group_action(self, request, grid_name, rng):
+        grid = request.getfixturevalue(grid_name)
+        U = _perturbed_couette(grid.y)
+        u = transform(grid, rng.normal(size=(grid.nx, grid.ny)))
+        twice = compose_shear(compose_shear(u, 1.3, U), -0.4, U)
+        once = compose_shear(u, 1.3 - 0.4, U)
+        assert np.max(np.abs(twice.coeffs - once.coeffs)) < 1e-13
+
+
 class TestProjectionsAndProducts:
     def test_x_antiderivative(self, box):
         u = from_function(box, lambda X, Y: np.cos(X))
