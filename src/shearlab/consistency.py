@@ -199,13 +199,12 @@ class _ConsistencyKernel:
 
     # -- the four integrands -------------------------------------------------
 
-    def integrands(self, t: float, with_total: bool = False) -> dict:
-        """Dealiased, x-mean-free spectral integrands of I-IV at time t
-        (optionally with the independently assembled total)."""
+    def integrands(self, t: float) -> dict:
+        """Dealiased, x-mean-free spectral integrands of I-IV at time t,
+        with the total assembled independently from the full stream
+        function and vorticity."""
         zero = np.zeros((self.grid.nx, self.grid.ny), dtype=np.complex128)
-        out = {"I": zero, "II": zero, "III": zero, "IV": zero}
-        if with_total:
-            out["total"] = zero
+        out = {"I": zero, "II": zero, "III": zero, "IV": zero, "total": zero}
 
         both = not (self._w1_is_zero or self._w2_is_zero)
         if not self._w1_is_zero:
@@ -230,7 +229,7 @@ class _ConsistencyKernel:
             products.append(-p2y_s * self.w1x + p2x_s * self.w1y
                             - t * p2x_s * self.w1x)
             labels.append("IV")
-        if with_total and products:
+        if products:
             wx = self.w1x + (w2x_s if not self._w2_is_zero else 0.0)
             wy_sh = (self.w1y - t * self.w1x) \
                 + (w2y_s if not self._w2_is_zero else 0.0)
@@ -240,31 +239,10 @@ class _ConsistencyKernel:
                 + (p2y_s if not self._w2_is_zero else 0.0)
             products.append(-phiy_sh * wx + phix * wy_sh)
             labels.append("total")
-        if products:
             coeffs = self.acc.to_coeffs(np.stack(products))
             for lab, c in zip(labels, coeffs):
                 out[lab] = c
         return out
-
-    def integrand_total(self, t: float) -> np.ndarray:
-        """The unsplit integrand assembled from the full stream function
-        and vorticity (composed factors use composed plain gradients, so
-        no time-growing intermediates appear)."""
-        g = self.grid
-        if self._w1_is_zero and self._w2_is_zero:
-            return np.zeros((g.nx, g.ny), dtype=np.complex128)
-        wx, wy_sh = self.w1x, self.w1y - t * self.w1x
-        phix = phiy_sh = 0.0
-        if not self._w1_is_zero:
-            p1x, p1y_sh = self._stream1_gradients(t)
-            phix, phiy_sh = phix + p1x, phiy_sh + p1y_sh
-        if not self._w2_is_zero:
-            w2x_s, w2y_s, p2x_s, p2y_s, _ = self._composed_physical(t)
-            wx = wx + w2x_s
-            wy_sh = wy_sh + w2y_s
-            phix = phix + p2x_s
-            phiy_sh = phiy_sh + p2y_s
-        return self.acc.to_coeffs(-phiy_sh * wx + phix * wy_sh)
 
 
 # ---------------------------------------------------------------------------
@@ -348,59 +326,47 @@ def consistency_integral(w1: SpectralField, w2: SpectralField, T: float,
     the term names in ``keep_samples``, the accumulated fields themselves,
     e.g. for weak-convergence pairings).
 
-    Without an explicit ``n_steps`` the step count doubles until two
-    successive totals agree to ``tol`` in L2 (capped at ``max_steps``;
-    exceeding the cap without convergence is an error).
+    The level-n/2 Simpson sum over the even nodes comes free with every
+    run, so ``step_halving_gap`` (the L2 distance of the two totals) is
+    always reported.  An explicit ``n_steps`` is rounded up to a multiple
+    of 4; without one the step count doubles until the gap falls below
+    ``tol`` (capped at ``max_steps``; exceeding the cap without
+    convergence is an error).
     """
     certify_inputs(w1, w2)
     if w1.grid != w2.grid:
         raise ValueError("parts live on different grids")
     _check_band(w2, T)
     kernel = _ConsistencyKernel(w1, w2)
-
-    if n_steps is None:
-        n = max(512, 2 ** int(np.ceil(np.log2(max(8.0 * T, 2.0)))))
-        prev = _total_only(kernel, T, n)
-        gap = np.inf
-        while n < max_steps and gap >= tol:
-            n *= 2
-            cur = _total_only(kernel, T, n)
-            gap = float(np.sqrt(np.sum(np.abs(cur - prev) ** 2)))
-            prev = cur
-        if gap >= tol:
-            raise RuntimeError(f"consistency quadrature did not converge: "
-                               f"last halving gap {gap:.3e} > {tol:g}")
-        n_steps = n
-        halving_gap = gap
-    else:
-        halving_gap = float("nan")
-
     if sample_times is None:
         sample_times = np.linspace(0.0, T, 17)[1:]
-    return _full_run(kernel, T, n_steps, np.asarray(sample_times, float),
-                     s_list, halving_gap, keep_samples)
+    sample_times = np.asarray(sample_times, float)
 
-
-def _total_only(kernel: _ConsistencyKernel, T: float, n: int) -> np.ndarray:
-    h = T / n
-    acc = np.zeros((kernel.grid.nx, kernel.grid.ny), dtype=np.complex128)
-    for panel in range(n // 2):
-        t0 = 2 * panel * h
-        acc += (h / 3.0) * (kernel.integrand_total(t0)
-                            + 4.0 * kernel.integrand_total(t0 + h)
-                            + kernel.integrand_total(t0 + 2 * h))
-    return acc
+    if n_steps is not None:
+        return _full_run(kernel, T, n_steps, sample_times, s_list,
+                         keep_samples)
+    n = 2 * max(512, 2 ** int(np.ceil(np.log2(max(8.0 * T, 2.0)))))
+    dec = _full_run(kernel, T, n, sample_times, s_list, keep_samples)
+    while dec.step_halving_gap >= tol and n < max_steps:
+        n *= 2
+        dec = _full_run(kernel, T, n, sample_times, s_list, keep_samples)
+    if dec.step_halving_gap >= tol:
+        raise RuntimeError(f"consistency quadrature did not converge: "
+                           f"last halving gap {dec.step_halving_gap:.3e} "
+                           f"> {tol:g}")
+    return dec
 
 
 def _full_run(kernel, T: float, n_steps: int, sample_times, s_list,
-              halving_gap: float, keep_samples=()) -> DuhamelDecomposition:
+              keep_samples=()) -> DuhamelDecomposition:
     grid = kernel.grid
-    if n_steps % 2 != 0:
-        n_steps += 1
+    n_steps += -n_steps % 4
     h = T / n_steps
     names = ("I", "II", "III", "IV")
     acc = {nm: np.zeros((grid.nx, grid.ny), np.complex128) for nm in names}
     acc_total = np.zeros((grid.nx, grid.ny), np.complex128)
+    # level-n/2 total: one Simpson panel of width 4h per pair of panels
+    acc_half = np.zeros((grid.nx, grid.ny), np.complex128)
 
     # Snap sample times onto panel edges.
     edges = np.round(np.asarray(sample_times) / (2 * h)).astype(int)
@@ -411,15 +377,20 @@ def _full_run(kernel, T: float, n_steps: int, sample_times, s_list,
     kept: dict[str, list] = {nm: [] for nm in keep_samples}
 
     next_edge = 0
-    f_prev = kernel.integrands(0.0, with_total=True)
+    f_prev = kernel.integrands(0.0)
     for panel in range(n_steps // 2):
         t0 = 2 * panel * h
-        f_mid = kernel.integrands(t0 + h, with_total=True)
-        f_next = kernel.integrands(t0 + 2 * h, with_total=True)
+        f_mid = kernel.integrands(t0 + h)
+        f_next = kernel.integrands(t0 + 2 * h)
         for nm in names:
             acc[nm] += (h / 3.0) * (f_prev[nm] + 4.0 * f_mid[nm] + f_next[nm])
         acc_total += (h / 3.0) * (f_prev["total"] + 4.0 * f_mid["total"]
                                   + f_next["total"])
+        if panel % 2 == 0:
+            f_half_start = f_prev["total"]
+        else:
+            acc_half += (2 * h / 3.0) * (f_half_start + 4.0 * f_prev["total"]
+                                         + f_next["total"])
         f_prev = f_next
 
         if next_edge < edges.size and panel + 1 == edges[next_edge]:
@@ -454,7 +425,9 @@ def _full_run(kernel, T: float, n_steps: int, sample_times, s_list,
         term_IV=_mk("IV"),
         total=SpectralField(grid, acc_total, "lagrangian", T),
         norm_series=norm_series, n_steps=n_steps,
-        step_halving_gap=halving_gap, sample_times=snapped, samples=kept)
+        step_halving_gap=float(np.sqrt(np.sum(np.abs(acc_total - acc_half)
+                                              ** 2))),
+        sample_times=snapped, samples=kept)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 Deterministic report emission: one CSV per norm series plus a JSON summary.
 
 CSV is RFC-4180 with '.' decimals and 17 significant digits; JSON keys are
-sorted and floats use shortest round-trip repr.  Identical configs must
+sorted, floats use shortest round-trip repr, and a non-finite float is
+written as null, so the summary is strict JSON.  Identical configs must
 produce byte-identical files, so nothing time- or host-dependent is
 written.
 """
@@ -40,7 +41,7 @@ def _jsonify(obj):
     if isinstance(obj, (np.bool_, bool)):        # bool is an int subclass
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if np.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
@@ -49,7 +50,8 @@ def _jsonify(obj):
 def write_summary(path: str | Path, summary: dict) -> None:
     payload = {"schema": SCHEMA}
     payload.update(_jsonify(summary))
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def emit_report(out_dir: str | Path, norm_series: dict, summary: dict) -> list[str]:

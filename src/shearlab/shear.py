@@ -326,24 +326,6 @@ def solve_g_shear(f0: SpectralField, profile: ShearProfile) -> SpectralField:
     return SpectralField(g, out, f0.frame, f0.frame_time)
 
 
-def lagrangian_forcing(forcing_kind: str, f0: SpectralField, tau: float,
-                       profile: ShearProfile,
-                       dt: float | None = None) -> SpectralField:
-    """
-    The forcing seen by the sheared-frame equation at time tau.
-
-    resonant:   S(tau, 0) f0                  (cancels the mixing)
-    stationary: [S(0, -tau) f0](x + tau U, y) (Eulerian field is frozen
-                 modulo the operator's own drift)
-    """
-    if forcing_kind == "resonant":
-        return apply_S(tau, 0.0, f0, profile, dt)
-    if forcing_kind == "stationary":
-        moved = apply_S(0.0, -tau, f0, profile, dt)
-        return compose_shear(moved, -tau, profile.U)
-    raise ValueError(f"unknown shear forcing kind {forcing_kind!r}")
-
-
 def backward_images(f0: SpectralField, taus: np.ndarray,
                     profile: ShearProfile, idx: np.ndarray,
                     dt: float | None = None) -> np.ndarray:
@@ -468,9 +450,6 @@ class OperatorProbe:
     trend: dict[str, dict]                # per s: trend_report output
     decay_fit: RateFit | None             # exponent of ||d/dt S(t,0)u||
     commutation_defect: float
-
-    def max_ratio(self, s: float) -> float:
-        return float(np.max(self.ratio_series[format_index(s)]))
 
 
 def _random_basket(grid: Grid, n_members: int, k_band: int, seed: int):

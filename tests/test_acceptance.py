@@ -101,15 +101,18 @@ def test_criterion_04_consistency_terms():
     # n_steps pinned from the adaptive calibration (halving gap < 1e-7)
     series, summary = run_scenario("consistency", {"n_steps": 4096})
     checks = summary["checks"]
+    gap = summary["halving_gap"]
     ok = all(checks[k] for k in
              ("splitting_linear", "iv_growth_rate_converges",
               "iv_hminus1_no_positive_trend", "term_i_cauchy_tail",
               "term_ii_closed_form"))
+    ok = ok and bool(np.isfinite(gap) and gap < 1e-7)
     _report(4, "four-term consistency splitting", ok,
             f"IV rate var {summary['iv_rate_variation']:.2e}, "
             f"I tail {summary['term_i_tail']:.1e}, "
             f"II err {summary['term_ii_error']:.1e}, "
-            f"split {summary['splitting_defect']:.1e}")
+            f"split {summary['splitting_defect']:.1e}, "
+            f"halving gap {gap:.3e}")
     assert ok
 
 

@@ -118,6 +118,32 @@ class TestSplitting:
         assert dec.step_halving_gap < 1e-8
         assert dec.n_steps <= 2 ** 14
 
+    def test_pinned_gap_is_the_halved_run(self, parts):
+        # the gap from the even nodes equals a separate run at n/2
+        w1, w2 = parts
+        dec = consistency_integral(w1, w2, T=2.0, n_steps=64)
+        half = consistency_integral(w1, w2, T=2.0, n_steps=32)
+        gap = np.linalg.norm(dec.total.coeffs - half.total.coeffs)
+        assert np.isfinite(dec.step_halving_gap) and gap > 0.0
+        assert dec.step_halving_gap == pytest.approx(gap, rel=1e-12)
+
+    def test_adaptive_run_matches_pinned_run(self, parts):
+        w1, w2 = parts
+        dec = consistency_integral(w1, w2, T=0.25, tol=1e-6)
+        pinned = consistency_integral(w1, w2, T=0.25, n_steps=dec.n_steps)
+        for nm in ("I", "II", "III", "IV"):
+            assert np.array_equal(getattr(dec, f"term_{nm}").coeffs,
+                                  getattr(pinned, f"term_{nm}").coeffs)
+        assert np.array_equal(dec.total.coeffs, pinned.total.coeffs)
+        assert dec.step_halving_gap == pinned.step_halving_gap
+
+    def test_pinned_steps_round_up_to_multiple_of_four(self, parts):
+        w1, w2 = parts
+        dec = consistency_integral(w1, w2, T=1.0, n_steps=6)
+        eight = consistency_integral(w1, w2, T=1.0, n_steps=8)
+        assert dec.n_steps == 8
+        assert np.array_equal(dec.total.coeffs, eight.total.coeffs)
+
     def test_doubled_resolution_oracle(self):
         # the run repeated at twice the resolution is the oracle for the
         # term norms; T is kept below the point where the second-harmonic

@@ -1,5 +1,7 @@
 """Rate fitters, trend reports, baskets, pairings, and report emission."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,18 @@ class TestReports:
         emit_report(d2, series, summary)
         for name in ("a.csv", "summary.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_summary_is_strict_json(self, tmp_path):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        summary = {"checks": {"ok": True}, "gap": float("nan"),
+                   "rate": np.float64(np.inf), "value": 0.5}
+        emit_report(tmp_path / "s", {}, summary)
+        text = (tmp_path / "s" / "summary.json").read_text()
+        parsed = json.loads(text, parse_constant=reject)
+        assert parsed["gap"] is None and parsed["rate"] is None
+        assert parsed["value"] == 0.5
 
     def test_empty_run_header_only(self, tmp_path):
         written = emit_report(tmp_path / "e",
